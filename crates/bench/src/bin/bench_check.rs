@@ -8,8 +8,8 @@
 //! * **virtual-time** (the α scenario) — bit-for-bit deterministic, so the
 //!   band is tight-ish (±25%: intended scheduling changes legitimately move
 //!   the numbers; re-pin when they do) and α = 4 must *strictly* beat α = 1;
-//! * **wall-clock** (hash/codec medians) — CI machines vary wildly, so only
-//!   an 8× blow-up fails the gate.
+//! * **wall-clock** (hash/codec/signature medians) — CI machines vary
+//!   wildly, so only an 8× blow-up fails the gate.
 //!
 //! Re-pin by running `cargo run --release -p smartchain-bench --bin
 //! bench_check -- --print-baseline` and pasting the output.
@@ -20,7 +20,7 @@ use smartchain_bench::micro::{
     segmented_recovery_scenario, tcp_client_soak, tcp_smoke, verify_adaptive_throughput,
     verify_cap_throughput, AlphaMode, LossProfile,
 };
-use smartchain_crypto::sha256;
+use smartchain_crypto::{ed25519, sha256};
 use smartchain_merkle as merkle;
 use smartchain_smr::types::{decode_batch, encode_batch, Request};
 use std::collections::BTreeMap;
@@ -540,12 +540,31 @@ fn main() {
             black_box(&proof)
         ));
     });
+    // Ed25519 over a SPEND-sized (310 B) payload: what a client pays per
+    // signed transaction and a replica per signature check. The 8× ceiling
+    // sits below plain double-and-add kernels (≈1 ms sign, ≈2 ms verify).
+    let key = ed25519::SigningKey::from_seed(&[7u8; 32]);
+    let msg = vec![0x42u8; 310];
+    let sig = key.sign(&msg);
+    let public = key.public_key();
+    let (sign_ns, ..) = measure(|| {
+        black_box(key.sign(black_box(&msg)));
+    });
+    let (verify_ns, ..) = measure(|| {
+        assert!(ed25519::verify(&public, black_box(&msg), black_box(&sig)));
+    });
+    gate.measured
+        .insert("ed25519_sign_ns".into(), sign_ns as f64);
+    gate.measured
+        .insert("ed25519_verify_ns".into(), verify_ns as f64);
     gate.measured.insert("sha256_4k_ns".into(), sha_ns as f64);
     gate.measured
         .insert("batch_roundtrip_ns".into(), codec_ns as f64);
     gate.measured
         .insert("merkle_proof_verify_ns".into(), merkle_ns as f64);
     if !print_baseline {
+        gate.ceiling("ed25519_sign_ns", sign_ns as f64, 8.0);
+        gate.ceiling("ed25519_verify_ns", verify_ns as f64, 8.0);
         gate.ceiling("sha256_4k_ns", sha_ns as f64, 8.0);
         gate.ceiling("batch_roundtrip_ns", codec_ns as f64, 8.0);
         gate.ceiling("merkle_proof_verify_ns", merkle_ns as f64, 8.0);

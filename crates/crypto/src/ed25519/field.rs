@@ -163,14 +163,37 @@ impl Fe {
         let b4_19 = b[4] * 19;
 
         let t0 = m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19);
-        let mut t1 =
-            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
-        let mut t2 =
-            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
-        let mut t3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
-        let mut t4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
+        let t1 = m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
+        let t2 = m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
+        let t3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
+        let t4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
+        Fe::reduce_wide([t0, t1, t2, t3, t4])
+    }
 
-        // carry chain over u128 accumulators
+    /// Field squaring: the 15 distinct limb products of [`Fe::mul`]'s 25,
+    /// with the symmetric pairs doubled.
+    pub fn square(self) -> Fe {
+        let a = self.0;
+        let m = |x: u64, y: u64| -> u128 { (x as u128) * (y as u128) };
+        let a0_2 = a[0] * 2;
+        let a1_2 = a[1] * 2;
+        let a1_38 = a[1] * 38;
+        let a2_38 = a[2] * 38;
+        let a3_38 = a[3] * 38;
+        let a3_19 = a[3] * 19;
+        let a4_19 = a[4] * 19;
+
+        let t0 = m(a[0], a[0]) + m(a1_38, a[4]) + m(a2_38, a[3]);
+        let t1 = m(a0_2, a[1]) + m(a2_38, a[4]) + m(a3_19, a[3]);
+        let t2 = m(a0_2, a[2]) + m(a[1], a[1]) + m(a3_38, a[4]);
+        let t3 = m(a0_2, a[3]) + m(a1_2, a[2]) + m(a4_19, a[4]);
+        let t4 = m(a0_2, a[4]) + m(a1_2, a[3]) + m(a[2], a[2]);
+        Fe::reduce_wide([t0, t1, t2, t3, t4])
+    }
+
+    /// Carries five `u128` limb accumulators down to loosely reduced limbs.
+    fn reduce_wide(t: [u128; 5]) -> Fe {
+        let [t0, mut t1, mut t2, mut t3, mut t4] = t;
         let mut out = [0u64; 5];
         let mask = MASK as u128;
         t1 += t0 >> 51;
@@ -185,11 +208,6 @@ impl Fe {
         out[4] = (t4 & mask) as u64;
         out[0] += carry * 19;
         Fe(out).carry()
-    }
-
-    /// Field squaring.
-    pub fn square(self) -> Fe {
-        self.mul(self)
     }
 
     /// Repeated squaring: `self^(2^n)`.
@@ -257,27 +275,32 @@ impl Fe {
     }
 }
 
-/// `sqrt(-1)` in the field, computed once at first use.
-pub fn sqrt_m1() -> Fe {
-    // 2^((p-1)/4) is a square root of -1 when p = 5 (mod 8).
-    // (p-1)/4 = 2^253 - 5  =  (2^252 - 3)*2 + 1  =>  2 * pow_p58 exponent + 1
-    // i.e. x^((p-1)/4) = (x^(2^252-3))^2 * x  for x = 2.
-    let two = Fe::from_u64(2);
-    two.pow_p58().square().mul(two)
-}
+/// `sqrt(-1) = 2^((p-1)/4)` (a square root of -1 because p = 5 mod 8).
+pub const SQRT_M1: Fe = Fe([
+    0x61b274a0ea0b0,
+    0xd5a5fc8f189d,
+    0x7ef5e9cbd0c60,
+    0x78595a6804c9e,
+    0x2b8324804fc1d,
+]);
 
 /// The Edwards curve constant `d = -121665/121666 (mod p)`.
-pub fn d() -> Fe {
-    let num = Fe::from_u64(121_665).neg();
-    let den = Fe::from_u64(121_666);
-    num.mul(den.invert())
-}
+pub const D: Fe = Fe([
+    0x34dca135978a3,
+    0x1a8283b156ebd,
+    0x5e7a26001c029,
+    0x739c663a03cbb,
+    0x52036cee2b6ff,
+]);
 
 /// `2 * d (mod p)`, used in the extended-coordinate addition formulas.
-pub fn d2() -> Fe {
-    let dd = d();
-    dd.add(dd)
-}
+pub const D2: Fe = Fe([
+    0x69b9426b2f159,
+    0x35050762add7a,
+    0x3cf44c0038052,
+    0x6738cc7407977,
+    0x2406d9dc56dff,
+]);
 
 #[cfg(test)]
 mod tests {
@@ -314,8 +337,10 @@ mod tests {
 
     #[test]
     fn sqrt_m1_squares_to_minus_one() {
-        let i = sqrt_m1();
-        assert!(i.square().ct_eq(Fe::ONE.neg()));
+        // (p-1)/4 = 2 * (2^252 - 3) + 1, so 2^((p-1)/4) = (2^((p-5)/8))^2 * 2.
+        let two = fe(2);
+        assert!(SQRT_M1.ct_eq(two.pow_p58().square().mul(two)));
+        assert!(SQRT_M1.square().ct_eq(Fe::ONE.neg()));
     }
 
     #[test]
@@ -346,8 +371,22 @@ mod tests {
     fn d_constant_matches_reference() {
         // The canonical little-endian encoding of d from RFC 8032.
         let expected = "a3785913ca4deb75abd841414d0a700098e879777940c78c73fe6f2bee6c0352";
-        let got: String = d().to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        let got: String = D.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(got, expected);
+        let derived = fe(121_665).neg().mul(fe(121_666).invert());
+        assert!(D.ct_eq(derived));
+        assert!(D2.ct_eq(D.add(D)));
+    }
+
+    #[test]
+    fn square_matches_mul() {
+        let mut x = fe(0x1234_5678_9abc_def0);
+        for _ in 0..64 {
+            assert!(x.square().ct_eq(x.mul(x)));
+            x = x.mul(x).add(fe(0xdead_beef));
+        }
+        let p_minus_one = Fe::ONE.neg();
+        assert!(p_minus_one.square().ct_eq(Fe::ONE));
     }
 
     #[test]

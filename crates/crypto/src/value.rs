@@ -16,20 +16,34 @@
 //! [`hashes_computed`] exposes a process-wide counter of *actual* digest
 //! computations (memoized hits don't count), which is what lets tests and
 //! `bench_check` assert the hash-once invariant instead of trusting it.
+//! [`thread_hashes_computed`] is the calling thread's share of that count:
+//! a test that drives its replicas on its own thread counts with it, and
+//! work on other threads (other tests in the same binary) cannot leak in.
 
 use crate::{sha256, Hash};
 use smartchain_codec::{Decode, DecodeError, Encode};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Process-wide count of real SHA-256 value digests (memo misses).
 static HASHES_COMPUTED: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// The digests of [`HASHES_COMPUTED`] computed on this thread.
+    static THREAD_HASHES_COMPUTED: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Total `sha256(value)` computations performed through [`ValueBytes::hash`]
 /// since process start. Memoized lookups do not increment it; the
 /// hash-per-decision gates in `bench_check` are deltas of this counter.
 pub fn hashes_computed() -> u64 {
     HASHES_COMPUTED.load(Ordering::Relaxed)
+}
+
+/// The [`hashes_computed`] digests that ran on the calling thread.
+pub fn thread_hashes_computed() -> u64 {
+    THREAD_HASHES_COMPUTED.with(Cell::get)
 }
 
 struct Inner {
@@ -57,6 +71,7 @@ impl ValueBytes {
     pub fn hash(&self) -> Hash {
         *self.0.hash.get_or_init(|| {
             HASHES_COMPUTED.fetch_add(1, Ordering::Relaxed);
+            THREAD_HASHES_COMPUTED.with(|n| n.set(n.get() + 1));
             sha256::digest(&self.0.bytes)
         })
     }
@@ -179,16 +194,21 @@ mod tests {
     #[test]
     fn hash_computed_once_per_allocation() {
         let vb = ValueBytes::new(vec![9u8; 1024]);
-        let before = hashes_computed();
+        let before = thread_hashes_computed();
+        let before_global = hashes_computed();
         let h1 = vb.hash();
         let clone = vb.clone();
         let h2 = clone.hash();
         assert_eq!(h1, h2);
         assert_eq!(h1, sha256::digest(&vec![9u8; 1024]));
         assert_eq!(
-            hashes_computed() - before,
+            thread_hashes_computed() - before,
             1,
             "clones share the memoized digest"
+        );
+        assert!(
+            hashes_computed() > before_global,
+            "the process-wide count moves too"
         );
     }
 

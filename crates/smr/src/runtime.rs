@@ -770,6 +770,67 @@ fn install_state_reply<A: Application>(
     durable.batches_applied() > before
 }
 
+/// Fires the replica loop's timers once they have run for `timeout`. An
+/// unanswered state request rotates to the next shipper (or gives up). A
+/// progress timer that saw no delivery fetches the missing suffix when
+/// decisions are buffered past a hole, and otherwise asks the core for a
+/// leader change. While the replica has nothing to wait for, the progress
+/// timer stays re-armed, so it measures from when work arrived.
+fn on_deadlines<A: Application, T: Transport>(
+    core: &mut OrderingCore,
+    durable: &DurableApp<A>,
+    transport: &mut T,
+    syncing: &mut Option<SyncAttempt>,
+    last_progress: &mut std::time::Instant,
+    timeout: Duration,
+) -> Vec<CoreOutput> {
+    if let Some(sync) = syncing {
+        // Unanswered state request: rotate shippers. Give up — re-enabling
+        // the normal timeout/view-change path — once every peer was tried
+        // and the delivery gap healed through ordinary consensus, or after
+        // two full rotations regardless: if no peer's log can serve the gap
+        // (e.g. an instance that died undecided with a crashed leader), only
+        // a leader change can fill it, and a replica stuck in `syncing`
+        // forever would never vote for one.
+        if sync.asked_at.elapsed() >= timeout {
+            let next = sync.attempt + 1;
+            let peers = transport.n().saturating_sub(1).max(1);
+            if next >= peers && (core.stalled_behind().is_none() || next >= 2 * peers) {
+                *syncing = None;
+            } else {
+                *sync = send_state_request(durable, transport, next);
+            }
+        }
+        return Vec::new();
+    }
+    if core.pending_len() == 0 && core.stalled_behind().is_none() {
+        *last_progress = std::time::Instant::now();
+        return Vec::new();
+    }
+    if last_progress.elapsed() < timeout {
+        return Vec::new();
+    }
+    *last_progress = std::time::Instant::now();
+    if core.stalled_behind().is_some() {
+        // Decisions are buffered past a hole nobody will re-run consensus
+        // for (we restarted or our link dropped the decision): fetch the
+        // gap from a peer.
+        *syncing = Some(send_state_request(durable, transport, 0));
+        return Vec::new();
+    }
+    if std::env::var("SC_RT_DEBUG").is_ok() {
+        eprintln!(
+            "[rt] replica {} timeout: regency={} leader={} pending={} ld={}",
+            transport.me(),
+            core.regency(),
+            core.leader(),
+            core.pending_len(),
+            core.last_delivered()
+        );
+    }
+    core.on_progress_timeout()
+}
+
 fn replica_loop<A: Application, T: Transport>(
     core: &mut OrderingCore,
     durable: &mut DurableApp<A>,
@@ -779,6 +840,8 @@ fn replica_loop<A: Application, T: Transport>(
     require_signed: bool,
 ) {
     let me = transport.me();
+    // When the progress timer was last armed: at a delivery, when it fired,
+    // or when the replica last had nothing to wait for.
     let mut last_progress = std::time::Instant::now();
     // Non-client events encountered while draining a verify batch wait here
     // and are processed before blocking on the transport again.
@@ -810,9 +873,26 @@ fn replica_loop<A: Application, T: Transport>(
     // Checkpoint-certificate shares gossiped by peers (and ourselves).
     let mut certs = CertAssembly::new();
     loop {
-        let event = match backlog.pop_front() {
-            Some(ev) => Ok(ev),
-            None => transport.recv_timeout(timeout),
+        // The timers are checked before every event, not only after a whole
+        // timeout of transport silence: client retransmissions arrive more
+        // often than that and would otherwise keep a dead leader in place.
+        let fired = on_deadlines(
+            core,
+            durable,
+            transport,
+            &mut syncing,
+            &mut last_progress,
+            timeout,
+        );
+        let event = if !fired.is_empty() {
+            // Emit the fired timer's outputs (the `Timeout` arm) first.
+            Err(RecvError::Timeout)
+        } else if let Some(ev) = backlog.pop_front() {
+            Ok(ev)
+        } else {
+            // Wake no later than the earliest deadline.
+            let armed_at = syncing.as_ref().map_or(last_progress, |s| s.asked_at);
+            transport.recv_timeout(timeout.saturating_sub(armed_at.elapsed()))
         };
         let outputs = match event {
             Ok(NetEvent::Peer {
@@ -977,48 +1057,7 @@ fn replica_loop<A: Application, T: Transport>(
                 core.on_peer_reconnect(peer)
             }
             Ok(NetEvent::Shutdown) | Err(RecvError::Closed) => return,
-            Err(RecvError::Timeout) => {
-                if let Some(sync) = &mut syncing {
-                    // Unanswered state request: rotate shippers. Give up —
-                    // re-enabling the normal timeout/view-change path —
-                    // once every peer was tried and the delivery gap healed
-                    // through ordinary consensus, or after two full
-                    // rotations regardless: if no peer's log can serve the
-                    // gap (e.g. an instance that died undecided with a
-                    // crashed leader), only a leader change can fill it,
-                    // and a replica stuck in `syncing` forever would never
-                    // vote for one.
-                    if sync.asked_at.elapsed() >= timeout {
-                        let next = sync.attempt + 1;
-                        let peers = transport.n().saturating_sub(1).max(1);
-                        if next >= peers && (core.stalled_behind().is_none() || next >= 2 * peers) {
-                            syncing = None;
-                        } else {
-                            *sync = send_state_request(durable, transport, next);
-                        }
-                    }
-                    Vec::new()
-                } else if last_progress.elapsed() >= timeout && core.stalled_behind().is_some() {
-                    // Decisions are buffered past a hole nobody will re-run
-                    // consensus for (we restarted or our link dropped the
-                    // decision): fetch the gap from a peer.
-                    syncing = Some(send_state_request(durable, transport, 0));
-                    Vec::new()
-                } else if core.pending_len() > 0 && last_progress.elapsed() >= timeout {
-                    if std::env::var("SC_RT_DEBUG").is_ok() {
-                        eprintln!(
-                            "[rt] replica {me} timeout: regency={} leader={} pending={} ld={}",
-                            core.regency(),
-                            core.leader(),
-                            core.pending_len(),
-                            core.last_delivered()
-                        );
-                    }
-                    core.on_progress_timeout()
-                } else {
-                    Vec::new()
-                }
-            }
+            Err(RecvError::Timeout) => fired,
         };
         // Outputs must hit the wire in emission order (a SYNC must precede
         // the re-proposal it enables).
@@ -1253,6 +1292,52 @@ mod tests {
             .execute(vec![4], Duration::from_secs(20))
             .expect("op after leader death");
         assert_eq!(u64::from_le_bytes(r[..8].try_into().unwrap()), 5);
+        cluster.shutdown();
+    }
+
+    /// A dead leader is replaced while client retransmissions keep every
+    /// survivor's transport busy: traffic arrives four times per progress
+    /// timeout, so the transport is never silent for a whole timeout, and
+    /// the operation must still complete within a few timeouts.
+    #[test]
+    fn leader_crash_fails_over_under_continuous_traffic() {
+        let timeout = Duration::from_millis(200);
+        let config = RuntimeConfig {
+            storage_dir: Some(fresh_dir("busyfailover")),
+            progress_timeout: timeout,
+            ..RuntimeConfig::default()
+        };
+        let mut cluster = LocalCluster::start(config, CounterApp::new).expect("boot");
+        cluster
+            .execute(vec![1], Duration::from_secs(10))
+            .expect("warm-up");
+        cluster.kill_replica(0); // the initial leader
+        let request = Request {
+            client: cluster.client_id,
+            seq: cluster.next_seq + 1,
+            payload: vec![4],
+            signature: None,
+        };
+        let deadline = std::time::Instant::now() + 10 * timeout;
+        let mut matching = std::collections::HashSet::new();
+        while matching.len() <= cluster.f {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "no failover within 10 progress timeouts of continuous traffic"
+            );
+            for inbox in &cluster.inboxes {
+                let _ = inbox.send(NetEvent::Client(request.clone()));
+            }
+            let resend_at = std::time::Instant::now() + timeout / 4;
+            while let Some(left) = resend_at.checked_duration_since(std::time::Instant::now()) {
+                if let Ok(reply) = cluster.replies.recv_timeout(left) {
+                    if (reply.client, reply.seq) == (request.client, request.seq) {
+                        assert_eq!(u64::from_le_bytes(reply.result[..8].try_into().unwrap()), 5);
+                        matching.insert(reply.replica);
+                    }
+                }
+            }
+        }
         cluster.shutdown();
     }
 }

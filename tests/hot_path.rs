@@ -16,19 +16,13 @@ use smartchain::consensus::View;
 use smartchain::core::harness::ChainClusterBuilder;
 use smartchain::core::node::NodeConfig;
 use smartchain::crypto::keys::{Backend, SecretKey};
-use smartchain::crypto::value::hashes_computed;
+use smartchain::crypto::value::thread_hashes_computed;
 use smartchain::sim::{MILLI, SECOND};
 use smartchain::smr::app::CounterApp;
 use smartchain::smr::ordering::{
     AlphaBounds, CoreOutput, OrderingConfig, OrderingCore, OrderingStats, SmrMsg,
 };
 use smartchain::smr::types::Request;
-use std::sync::Mutex;
-
-/// The digest counter is process-global, and both tests in this binary
-/// order values; serialize them so one test's deliveries cannot leak into
-/// the other's before/after window.
-static COUNTER_LOCK: Mutex<()> = Mutex::new(());
 
 fn cores(n: usize, config: &OrderingConfig) -> Vec<OrderingCore> {
     let secrets: Vec<SecretKey> = (0..n)
@@ -103,10 +97,11 @@ fn pump_clean(cores: &mut [OrderingCore], submissions: Vec<(usize, Request)>) ->
 /// cost exactly eight digest computations cluster-wide. Every PROPOSE
 /// relay, WRITE/ACCEPT hash check, decision-proof validation, and delivery
 /// handle shares the one memoized digest of the decided value — nothing on
-/// the ordering path hashes the same bytes twice, on any replica.
+/// the ordering path hashes the same bytes twice, on any replica. The pump
+/// runs every replica on this thread, so the per-thread tally sees all of
+/// their digests and none from tests running concurrently.
 #[test]
 fn ordering_hashes_each_decided_value_exactly_once() {
-    let _g = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let config = OrderingConfig {
         max_batch: 1,
         alpha: 4,
@@ -117,12 +112,12 @@ fn ordering_hashes_each_decided_value_exactly_once() {
     let submissions: Vec<(usize, Request)> = (0..8u64)
         .flat_map(|s| (0..4usize).map(move |r| (r, req(9, s))))
         .collect();
-    let before = hashes_computed();
+    let before = thread_hashes_computed();
     let batch_sizes = pump_clean(&mut cores, submissions);
     let decided = batch_sizes[0].len() as u64;
     assert_eq!(decided, 8, "eight instances must decide");
     assert_eq!(
-        hashes_computed() - before,
+        thread_hashes_computed() - before,
         decided,
         "one digest per decided value across the whole 4-replica cluster"
     );
@@ -134,7 +129,6 @@ fn ordering_hashes_each_decided_value_exactly_once() {
 /// `max_batch = 8` no batch may exceed 2.
 #[test]
 fn joint_adaptation_caps_batches_as_alpha_grows() {
-    let _g = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let config = OrderingConfig {
         max_batch: 8,
         alpha: 1,
